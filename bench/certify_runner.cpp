@@ -1,6 +1,5 @@
 // certify_runner — property-based conformance suite for every registered
-// chain model, the batched kernels, and the serve wire protocol
-// (docs/CERTIFICATION.md).
+// chain model and the serve wire protocol (docs/CERTIFICATION.md).
 //
 //   certify_runner --suite=chains --instances=8 --seed=1
 //   certify_runner --suite=chains --only=grand_coupling_a --seed=77
@@ -19,7 +18,6 @@
 #include "src/certify/fuzz.hpp"
 #include "src/certify/model.hpp"
 #include "src/certify/properties.hpp"
-#include "src/kernel/kernel.hpp"
 #include "src/util/cli.hpp"
 
 namespace {
@@ -31,7 +29,6 @@ int run_chains(const util::Cli& cli) {
   options.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   options.instances = static_cast<int>(cli.integer("instances"));
   options.law_trials = cli.integer("trials");
-  options.identity_steps = cli.integer("steps");
   options.alpha = cli.real("alpha");
   options.time_budget_ms = cli.duration_ms("time-budget");
   const std::string only = cli.str("only");
@@ -50,9 +47,9 @@ int run_chains(const util::Cli& cli) {
       certify::certify_models(registry, options, &std::cout);
 
   std::printf(
-      "certify: suite=chains kernel=%s models=%lld instances=%lld "
+      "certify: suite=chains models=%lld instances=%lld "
       "checks=%lld failures=%zu%s\n",
-      kernel::mode_name(), static_cast<long long>(report.models),
+      static_cast<long long>(report.models),
       static_cast<long long>(report.instances),
       static_cast<long long>(report.checks), report.failures.size(),
       report.timed_out ? " (time budget reached)" : "");
@@ -104,13 +101,11 @@ int run_protocol(const util::Cli& cli) {
 
 int main(int argc, char** argv) {
   util::Cli cli("certify_runner",
-                "property-based conformance suite (chains, kernels, wire "
-                "protocol)");
+                "property-based conformance suite (chains, wire protocol)");
   cli.flag("suite", "all | chains | protocol", "all")
       .flag("seed", "master seed; every failure line echoes it", "1")
       .flag("instances", "random instances per chain model", "8")
       .flag("trials", "samples per law-agreement check", "20000")
-      .flag("steps", "steps per scalar-vs-batched identity run", "512")
       .flag("alpha", "per-check significance level", "0.000001")
       .flag("time-budget", "wall-clock cap for the chains suite (0 = none)",
             "0")
@@ -127,10 +122,9 @@ int main(int argc, char** argv) {
          certify::builtin_registry().models()) {
       const std::string invariant =
           model.invariant_run ? "invariant:" + model.invariant_name : "";
-      std::printf("%-24s %-12s %s%s%s%s\n", model.name.c_str(),
+      std::printf("%-24s %-12s %s%s%s\n", model.name.c_str(),
                   model.family.c_str(), model.exact_step ? "law " : "",
-                  model.coupled_step ? "coupling " : "",
-                  model.has_batched ? "batched " : "", invariant.c_str());
+                  model.coupled_step ? "coupling " : "", invariant.c_str());
     }
     return 0;
   }

@@ -18,12 +18,9 @@
 // against exact mixing times on small state spaces.
 #pragma once
 
-#include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "src/balls/coupling_common.hpp"
-#include "src/kernel/choice_block.hpp"
 #include "src/rng/distributions.hpp"
 
 namespace recover::balls {
@@ -47,63 +44,12 @@ class GrandCouplingA {
     coupled_place(rule_, x_, y_, eng);
   }
 
-  /// Lockstep batched advance: both copies walk through one shared
-  /// pre-drawn choice block (one lead + d shared probes per step) — the
-  /// grand-coupling structure itself, so the coupling stays faithful by
-  /// construction.  Byte-identical to `steps` calls to step().
-  template <typename Engine>
-  void step_block(Engine& eng, std::int64_t steps) {
-    if constexpr (std::is_same_v<Rule, AbkuRule>) {
-      if (rule_.d() <= kernel::kMaxBatchedProbes) {
-        step_block_batched(eng, steps);
-        return;
-      }
-    }
-    for (std::int64_t k = 0; k < steps; ++k) step(eng);
-  }
-
   [[nodiscard]] bool coalesced() const { return x_ == y_; }
   [[nodiscard]] std::int64_t distance() const { return x_.distance(y_); }
   [[nodiscard]] const LoadVector& first() const { return x_; }
   [[nodiscard]] const LoadVector& second() const { return y_; }
 
  private:
-  // Instantiated only for AbkuRule (guarded by if constexpr above).
-  template <typename Engine>
-  void step_block_batched(Engine& eng, std::int64_t steps) {
-    const auto n = static_cast<std::uint64_t>(x_.bins());
-    const auto m = static_cast<std::uint64_t>(x_.balls());
-    kernel::DChoiceBatch batch;
-    std::int64_t remaining = steps;
-    while (remaining > 0) {
-      const auto chunk = static_cast<std::size_t>(std::min<std::int64_t>(
-          remaining, static_cast<std::int64_t>(kernel::kBatchSteps)));
-      batch.fill(eng, n, rule_.d(), chunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        bool lead_ok;
-        const std::uint64_t t =
-            kernel::lemire_map(batch.lead_raw(i), m, lead_ok);
-        if (!lead_ok || batch.probe_unsafe(i)) {
-          auto replay = batch.replay_from(eng, i);
-          for (std::int64_t k = static_cast<std::int64_t>(i); k < remaining;
-               ++k) {
-            step(replay);
-          }
-          return;
-        }
-        const auto rank = static_cast<std::int64_t>(t);
-        x_.remove_at(x_.ball_at_quantile(rank));
-        y_.remove_at(y_.ball_at_quantile(rank));
-        // Shared probes, shared running max: the ABKU placement is the
-        // same sorted index in both copies (Lemma 3.3 / Φ_D = identity).
-        const auto c = static_cast<std::size_t>(batch.choice(i));
-        x_.add_at(c);
-        y_.add_at(c);
-      }
-      remaining -= static_cast<std::int64_t>(chunk);
-    }
-  }
-
   LoadVector x_;
   LoadVector y_;
   Rule rule_;
@@ -122,31 +68,6 @@ class GrandCouplingB {
   template <typename Engine>
   void step(Engine& eng) {
     const double w = rng::uniform_real(eng);
-    remove_shared_quantile(w);
-    coupled_place(rule_, x_, y_, eng);
-  }
-
-  /// Lockstep batched advance; see GrandCouplingA::step_block.  The
-  /// shared removal quantile is a uniform real — exactly one word, never
-  /// redrawn — so only probe words can force the scalar bail-out.
-  template <typename Engine>
-  void step_block(Engine& eng, std::int64_t steps) {
-    if constexpr (std::is_same_v<Rule, AbkuRule>) {
-      if (rule_.d() <= kernel::kMaxBatchedProbes) {
-        step_block_batched(eng, steps);
-        return;
-      }
-    }
-    for (std::int64_t k = 0; k < steps; ++k) step(eng);
-  }
-
-  [[nodiscard]] bool coalesced() const { return x_ == y_; }
-  [[nodiscard]] std::int64_t distance() const { return x_.distance(y_); }
-  [[nodiscard]] const LoadVector& first() const { return x_; }
-  [[nodiscard]] const LoadVector& second() const { return y_; }
-
- private:
-  void remove_shared_quantile(double w) {
     const auto pick = [w](const LoadVector& v) {
       const auto s = static_cast<double>(v.nonempty_count());
       auto i = static_cast<std::size_t>(w * s);
@@ -155,39 +76,15 @@ class GrandCouplingB {
     };
     x_.remove_at(pick(x_));
     y_.remove_at(pick(y_));
+    coupled_place(rule_, x_, y_, eng);
   }
 
-  // Instantiated only for AbkuRule (guarded by if constexpr above).
-  template <typename Engine>
-  void step_block_batched(Engine& eng, std::int64_t steps) {
-    const auto n = static_cast<std::uint64_t>(x_.bins());
-    kernel::DChoiceBatch batch;
-    std::int64_t remaining = steps;
-    while (remaining > 0) {
-      const auto chunk = static_cast<std::size_t>(std::min<std::int64_t>(
-          remaining, static_cast<std::int64_t>(kernel::kBatchSteps)));
-      batch.fill(eng, n, rule_.d(), chunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        if (batch.probe_unsafe(i)) {
-          auto replay = batch.replay_from(eng, i);
-          for (std::int64_t k = static_cast<std::int64_t>(i); k < remaining;
-               ++k) {
-            step(replay);
-          }
-          return;
-        }
-        // Same mapping as rng::uniform_real on this word.
-        const double w =
-            static_cast<double>(batch.lead_raw(i) >> 11) * 0x1.0p-53;
-        remove_shared_quantile(w);
-        const auto c = static_cast<std::size_t>(batch.choice(i));
-        x_.add_at(c);
-        y_.add_at(c);
-      }
-      remaining -= static_cast<std::int64_t>(chunk);
-    }
-  }
+  [[nodiscard]] bool coalesced() const { return x_ == y_; }
+  [[nodiscard]] std::int64_t distance() const { return x_.distance(y_); }
+  [[nodiscard]] const LoadVector& first() const { return x_; }
+  [[nodiscard]] const LoadVector& second() const { return y_; }
 
+ private:
   LoadVector x_;
   LoadVector y_;
   Rule rule_;

@@ -16,22 +16,16 @@
 //
 // The ejection is a deterministic function of the load *multiset*, so the
 // normalized LoadVector state space still captures RBB exactly; the only
-// randomness is the placement probe stream, which makes the batched
-// kernel fit naturally: one ABKU[d] choice block per round with no lead
-// word (DChoiceBatch leads_per_step = 0).  Because the round length s is
-// known only after the ejection, blocks are filled per round — never
-// ahead of it — so scalar and batched modes consume the engine word for
-// word identically (certified by the "rbb" ChainModel and tests/rbb_test).
+// randomness is the placement probe stream, drawn per round once the
+// ejection has fixed the round length s.
 #pragma once
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "src/balls/coupling_common.hpp"
 #include "src/balls/load_vector.hpp"
 #include "src/balls/rules.hpp"
-#include "src/kernel/choice_block.hpp"
 
 namespace recover::balls {
 
@@ -69,49 +63,7 @@ class RBBChain {
     }
   }
 
-  /// `steps` rounds through the batched d-choice kernel.  The round
-  /// length is state-dependent, so each round draws its own choice
-  /// blocks (lead-free, probe words only) sized to exactly the s
-  /// placements the scalar path would draw — byte-identical either way.
-  template <typename Engine>
-  void step_block(Engine& eng, std::int64_t steps) {
-    if constexpr (std::is_same_v<Rule, AbkuRule>) {
-      if (rule_.d() <= kernel::kMaxBatchedProbes) {
-        for (std::int64_t r = 0; r < steps; ++r) round_batched(eng);
-        return;
-      }
-    }
-    for (std::int64_t k = 0; k < steps; ++k) step(eng);
-  }
-
  private:
-  // Instantiated only for AbkuRule (guarded by if constexpr above).
-  template <typename Engine>
-  void round_batched(Engine& eng) {
-    const auto n = static_cast<std::uint64_t>(state_.bins());
-    std::size_t remaining = state_.eject_one_per_nonempty();
-    kernel::DChoiceBatch batch;
-    while (remaining > 0) {
-      const std::size_t chunk = std::min(remaining, kernel::kBatchSteps);
-      batch.fill(eng, n, rule_.d(), chunk, /*leads_per_step=*/0);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        if (batch.probe_unsafe(i)) {
-          // A pre-drawn probe word may have been a Lemire rejection:
-          // replay the rest of this chunk through the scalar placement
-          // path, word for word, then resume batched.
-          auto replay = batch.replay_from(eng, i);
-          for (std::size_t k = i; k < chunk; ++k) {
-            ProbeFresh<decltype(replay)> probe(replay, state_.bins());
-            state_.add_at(rule_.place_index(state_, probe));
-          }
-          break;
-        }
-        state_.add_at(static_cast<std::size_t>(batch.choice(i)));
-      }
-      remaining -= chunk;
-    }
-  }
-
   LoadVector state_;
   Rule rule_;
 };
@@ -137,21 +89,13 @@ class GrandCouplingRBB {
   void step(Engine& eng) {
     const std::size_t sx = x_.eject_one_per_nonempty();
     const std::size_t sy = y_.eject_one_per_nonempty();
-    place_from(eng, 0, std::min(sx, sy), std::max(sx, sy), sx >= sy);
-  }
-
-  /// Lockstep batched round: one lead-free choice block drives the
-  /// shared placements into both copies and the surplus placements into
-  /// the longer copy, in the same word order as step().
-  template <typename Engine>
-  void step_block(Engine& eng, std::int64_t steps) {
-    if constexpr (std::is_same_v<Rule, AbkuRule>) {
-      if (rule_.d() <= kernel::kMaxBatchedProbes) {
-        for (std::int64_t r = 0; r < steps; ++r) round_batched(eng);
-        return;
-      }
+    const std::size_t shared = std::min(sx, sy);
+    for (std::size_t k = 0; k < shared; ++k) coupled_place(rule_, x_, y_, eng);
+    LoadVector& longer = sx >= sy ? x_ : y_;
+    for (std::size_t k = shared; k < std::max(sx, sy); ++k) {
+      ProbeFresh<Engine> probe(eng, longer.bins());
+      longer.add_at(rule_.place_index(longer, probe));
     }
-    for (std::int64_t k = 0; k < steps; ++k) step(eng);
   }
 
   [[nodiscard]] bool coalesced() const { return x_ == y_; }
@@ -160,57 +104,6 @@ class GrandCouplingRBB {
   [[nodiscard]] const LoadVector& second() const { return y_; }
 
  private:
-  /// Placements k = `from` .. `total` of one round: shared-probe coupled
-  /// placements first, then the surplus copy's fresh-probe placements.
-  /// The scalar code path — also the batched bail-out target.
-  template <typename Engine>
-  void place_from(Engine& eng, std::size_t from, std::size_t shared,
-                  std::size_t total, bool surplus_in_x) {
-    LoadVector& longer = surplus_in_x ? x_ : y_;
-    for (std::size_t k = from; k < total; ++k) {
-      if (k < shared) {
-        coupled_place(rule_, x_, y_, eng);
-      } else {
-        ProbeFresh<Engine> probe(eng, longer.bins());
-        longer.add_at(rule_.place_index(longer, probe));
-      }
-    }
-  }
-
-  // Instantiated only for AbkuRule (guarded by if constexpr above).
-  template <typename Engine>
-  void round_batched(Engine& eng) {
-    const auto n = static_cast<std::uint64_t>(x_.bins());
-    const std::size_t sx = x_.eject_one_per_nonempty();
-    const std::size_t sy = y_.eject_one_per_nonempty();
-    const std::size_t shared = std::min(sx, sy);
-    const std::size_t total = std::max(sx, sy);
-    LoadVector& longer = sx >= sy ? x_ : y_;
-    std::size_t done = 0;
-    kernel::DChoiceBatch batch;
-    while (done < total) {
-      const std::size_t chunk = std::min(total - done, kernel::kBatchSteps);
-      batch.fill(eng, n, rule_.d(), chunk, /*leads_per_step=*/0);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        if (batch.probe_unsafe(i)) {
-          auto replay = batch.replay_from(eng, i);
-          place_from(replay, done + i, shared, done + chunk, sx >= sy);
-          break;
-        }
-        // Shared probes, shared running max: the ABKU placement is the
-        // same sorted index in both copies (Lemma 3.3 / Φ_D = identity).
-        const auto c = static_cast<std::size_t>(batch.choice(i));
-        if (done + i < shared) {
-          x_.add_at(c);
-          y_.add_at(c);
-        } else {
-          longer.add_at(c);
-        }
-      }
-      done += chunk;
-    }
-  }
-
   LoadVector x_;
   LoadVector y_;
   Rule rule_;

@@ -17,6 +17,7 @@
 // is simply the running maximum index.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -27,26 +28,37 @@
 namespace recover::balls {
 
 /// Lazily draws and memoizes the probe sequence b so a coupled step can
-/// replay identical probes into both copies of the chain.
+/// replay identical probes into both copies of the chain.  The first
+/// kInline probes live in the memo itself, so ABKU[d ≤ kInline] never
+/// allocates; only ADAP's longer sequences spill to the heap.
 template <typename Engine>
 class ProbeMemo {
  public:
+  static constexpr std::size_t kInline = 8;
+
   ProbeMemo(Engine& eng, std::size_t n) : eng_(eng), n_(n) {}
 
   std::size_t operator()(std::size_t k) {
-    while (probes_.size() <= k) {
-      probes_.push_back(
-          static_cast<std::size_t>(rng::uniform_below(eng_, n_)));
+    while (drawn_ <= k) {
+      const auto b = static_cast<std::size_t>(rng::uniform_below(eng_, n_));
+      if (drawn_ < kInline) {
+        inline_[drawn_] = b;
+      } else {
+        spill_.push_back(b);
+      }
+      ++drawn_;
     }
-    return probes_[k];
+    return k < kInline ? inline_[k] : spill_[k - kInline];
   }
-
-  [[nodiscard]] std::size_t drawn() const { return probes_.size(); }
 
  private:
   Engine& eng_;
   std::size_t n_;
-  std::vector<std::size_t> probes_;
+  std::size_t drawn_ = 0;
+  // Left uninitialized: only slots below drawn_ are read, and each is
+  // written when drawn.
+  std::array<std::size_t, kInline> inline_;
+  std::vector<std::size_t> spill_;
 };
 
 /// Fresh-draw probe source for uncoupled steps (no memoization cost).

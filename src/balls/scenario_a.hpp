@@ -10,13 +10,10 @@
 // bound is tight up to lower-order terms.
 #pragma once
 
-#include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "src/balls/load_vector.hpp"
 #include "src/balls/rules.hpp"
-#include "src/kernel/choice_block.hpp"
 
 namespace recover::balls {
 
@@ -51,57 +48,7 @@ class ScenarioAChain {
     state_.add_at(rule_.place_index(state_, probe));
   }
 
-  /// `steps` phases through the batched d-choice kernel: randomness is
-  /// drawn in blocks, probes pre-mapped and pre-reduced, and the state
-  /// updates run in a tight pass (src/kernel/choice_block.hpp).
-  /// Byte-identical to `steps` calls to step().  Rules without a batched
-  /// kernel (ADAP's probe count is state-dependent) take the scalar loop.
-  template <typename Engine>
-  void step_block(Engine& eng, std::int64_t steps) {
-    if constexpr (std::is_same_v<Rule, AbkuRule>) {
-      if (rule_.d() <= kernel::kMaxBatchedProbes) {
-        step_block_batched(eng, steps);
-        return;
-      }
-    }
-    for (std::int64_t k = 0; k < steps; ++k) step(eng);
-  }
-
  private:
-  // Instantiated only for AbkuRule (guarded by if constexpr above).
-  template <typename Engine>
-  void step_block_batched(Engine& eng, std::int64_t steps) {
-    const auto n = static_cast<std::uint64_t>(state_.bins());
-    const auto m = static_cast<std::uint64_t>(state_.balls());
-    kernel::DChoiceBatch batch;
-    std::int64_t remaining = steps;
-    while (remaining > 0) {
-      const auto chunk = static_cast<std::size_t>(std::min<std::int64_t>(
-          remaining, static_cast<std::int64_t>(kernel::kBatchSteps)));
-      batch.fill(eng, n, rule_.d(), chunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        bool lead_ok;
-        const std::uint64_t t =
-            kernel::lemire_map(batch.lead_raw(i), m, lead_ok);
-        if (!lead_ok || batch.probe_unsafe(i)) {
-          // A pre-drawn word may have been a Lemire rejection
-          // (probability ≈ (m + d·n)/2^64 per step): replay the rest of
-          // the burst through the scalar path, word for word.
-          auto replay = batch.replay_from(eng, i);
-          for (std::int64_t k = static_cast<std::int64_t>(i); k < remaining;
-               ++k) {
-            step(replay);
-          }
-          return;
-        }
-        state_.remove_at(
-            state_.ball_at_quantile(static_cast<std::int64_t>(t)));
-        state_.add_at(static_cast<std::size_t>(batch.choice(i)));
-      }
-      remaining -= static_cast<std::int64_t>(chunk);
-    }
-  }
-
   LoadVector state_;
   Rule rule_;
 };

@@ -11,13 +11,10 @@
 // for large m.
 #pragma once
 
-#include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "src/balls/load_vector.hpp"
 #include "src/balls/rules.hpp"
-#include "src/kernel/choice_block.hpp"
 
 namespace recover::balls {
 
@@ -52,52 +49,7 @@ class ScenarioBChain {
     state_.add_at(rule_.place_index(state_, probe));
   }
 
-  /// `steps` phases through the batched d-choice kernel; byte-identical
-  /// to `steps` calls to step() (see ScenarioAChain::step_block).  The
-  /// removal bound s (non-empty bins) is state-dependent, so lead words
-  /// are pre-drawn raw and mapped at apply time.
-  template <typename Engine>
-  void step_block(Engine& eng, std::int64_t steps) {
-    if constexpr (std::is_same_v<Rule, AbkuRule>) {
-      if (rule_.d() <= kernel::kMaxBatchedProbes) {
-        step_block_batched(eng, steps);
-        return;
-      }
-    }
-    for (std::int64_t k = 0; k < steps; ++k) step(eng);
-  }
-
  private:
-  // Instantiated only for AbkuRule (guarded by if constexpr above).
-  template <typename Engine>
-  void step_block_batched(Engine& eng, std::int64_t steps) {
-    const auto n = static_cast<std::uint64_t>(state_.bins());
-    kernel::DChoiceBatch batch;
-    std::int64_t remaining = steps;
-    while (remaining > 0) {
-      const auto chunk = static_cast<std::size_t>(std::min<std::int64_t>(
-          remaining, static_cast<std::int64_t>(kernel::kBatchSteps)));
-      batch.fill(eng, n, rule_.d(), chunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const auto s = static_cast<std::uint64_t>(state_.nonempty_count());
-        bool lead_ok;
-        const std::uint64_t pick =
-            kernel::lemire_map(batch.lead_raw(i), s, lead_ok);
-        if (!lead_ok || batch.probe_unsafe(i)) {
-          auto replay = batch.replay_from(eng, i);
-          for (std::int64_t k = static_cast<std::int64_t>(i); k < remaining;
-               ++k) {
-            step(replay);
-          }
-          return;
-        }
-        state_.remove_at(static_cast<std::size_t>(pick));
-        state_.add_at(static_cast<std::size_t>(batch.choice(i)));
-      }
-      remaining -= static_cast<std::int64_t>(chunk);
-    }
-  }
-
   LoadVector state_;
   Rule rule_;
 };

@@ -1,22 +1,18 @@
 // ChainModel: the registration record the certification harness
 // (src/certify/properties.hpp) runs its property classes against.
 //
-// The repo carries three implementations of every allocation step — the
-// exact pmf over the enumerated state space, the scalar samplers, and
-// the batched kernels — plus couplings whose marginals must reproduce
-// the single-chain law.  A ChainModel packages one chain family behind a
-// type-erased, string-keyed interface:
+// The repo carries two implementations of every allocation step — the
+// exact pmf over the enumerated state space and the samplers — plus
+// couplings whose marginals must reproduce the single-chain law.  A
+// ChainModel packages one chain family behind a type-erased, string-keyed
+// interface:
 //
 //   state key   — the normalized state serialized as comma-joined
 //                 integers ("4,2,1,0" for a load vector, "1,0,-1" for an
 //                 orientation difference vector).  Keys are exact, so
 //                 law comparison is exact bucket counting.
 //   exact_step  — the brute-force single-step pmf (independent model)
-//   sample_step — one scalar step of the production sampler
-//   run         — a multi-step run routed through kernel::advance, so
-//                 RECOVER_KERNEL=scalar|batched selects the path; the
-//                 result carries one post-run engine word to catch
-//                 divergence in randomness consumption, not just state
+//   sample_step — one step of the production sampler
 //   coupled_step    — one step of the coupling from a state pair
 //   invariant_run   — a model-specific structural invariant (e.g. the
 //                     majorization sandwich the CFTP sampler rests on)
@@ -54,14 +50,6 @@ std::string describe(const Instance& instance);
 /// pairs, probabilities summing to 1.
 using StepLaw = std::vector<std::pair<std::string, double>>;
 
-/// Result of a multi-step run: final state plus one extra engine draw.
-/// Two runs agree iff both fields agree — the engine word detects a path
-/// that reaches the right state while consuming different randomness.
-struct RunResult {
-  std::string state_key;
-  std::uint64_t engine_word = 0;
-};
-
 struct ChainModel {
   std::string name;
   std::string family;  // "balls" | "coupling" | "orient" | "open"
@@ -72,11 +60,6 @@ struct ChainModel {
   std::int64_t m_min = 2, m_max = 8;
   int d_min = 1, d_max = 3;
 
-  /// True when `run` has a genuine batched path (kernel identity is
-  /// checked only then; for scalar-only models both modes are the same
-  /// loop and the check would be vacuous).
-  bool has_batched = false;
-
   /// Representative start states for the instance (≥ 1).
   std::function<std::vector<std::string>(const Instance&)> starts;
 
@@ -85,17 +68,11 @@ struct ChainModel {
   /// faithfulness property checks each coupled marginal against it.
   std::function<StepLaw(const Instance&, const std::string& start)> exact_step;
 
-  /// One scalar step of the production sampler; empty for pure-coupling
+  /// One step of the production sampler; empty for pure-coupling
   /// records.
   std::function<std::string(const Instance&, const std::string& start,
                             rng::Xoshiro256PlusPlus& eng)>
       sample_step;
-
-  /// Multi-step run from a canonical start, routed through
-  /// kernel::advance; empty when the model has no runnable chain.
-  std::function<RunResult(const Instance&, std::uint64_t seed,
-                          std::int64_t steps)>
-      run;
 
   /// One coupled step from a state pair; both marginals must follow
   /// exact_step's law, and equal inputs must produce equal outputs.

@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "src/certify/compare.hpp"
-#include "src/kernel/kernel.hpp"
 #include "src/util/assert.hpp"
 
 namespace recover::certify {
@@ -28,7 +27,6 @@ std::uint64_t fnv1a(const std::string& text) {
 constexpr std::uint64_t kTagLaw = 0x10;        // + start index
 constexpr std::uint64_t kTagMarginal = 0x40;
 constexpr std::uint64_t kTagAbsorbing = 0x41;
-constexpr std::uint64_t kTagIdentity = 0x50;
 constexpr std::uint64_t kTagInvariant = 0x60;
 
 class Session {
@@ -144,30 +142,6 @@ void check_coupling_absorbing(const ChainModel& model,
   }
 }
 
-void check_scalar_vs_batched(const ChainModel& model, const Instance& instance,
-                             const CertifyOptions& options, Session& session) {
-  const std::uint64_t run_seed = rng::substream(instance.seed, kTagIdentity);
-  const kernel::Mode previous = kernel::set_mode(kernel::Mode::kScalar);
-  const RunResult scalar =
-      model.run(instance, run_seed, options.identity_steps);
-  kernel::set_mode(kernel::Mode::kBatched);
-  const RunResult batched =
-      model.run(instance, run_seed, options.identity_steps);
-  kernel::set_mode(previous);
-  session.count_check();
-  if (scalar.state_key != batched.state_key) {
-    session.fail(model, "scalar_vs_batched", instance,
-                 "state diverged after " +
-                     std::to_string(options.identity_steps) + " steps: '" +
-                     scalar.state_key + "' vs '" + batched.state_key + "'");
-  } else if (scalar.engine_word != batched.engine_word) {
-    session.fail(model, "scalar_vs_batched", instance,
-                 "states agree but engines diverged (different randomness "
-                 "consumed) after " +
-                     std::to_string(options.identity_steps) + " steps");
-  }
-}
-
 void check_invariant(const ChainModel& model, const Instance& instance,
                      const CertifyOptions& options, Session& session) {
   std::string diag;
@@ -184,7 +158,7 @@ void check_invariant(const ChainModel& model, const Instance& instance,
 
 std::string CheckFailure::repro(const CertifyOptions& options) const {
   return "CERTIFY FAIL model=" + model + " property=" + property + " " +
-         describe(instance) + " kernel=" + kernel::mode_name() +
+         describe(instance) +
          " | rerun: certify_runner --suite=chains --seed=" +
          std::to_string(options.seed) + " --instances=" +
          std::to_string(options.instances) + " --only=" + model;
@@ -222,9 +196,6 @@ CertifyReport certify_models(const ModelRegistry& registry,
         check_coupling_absorbing(model, instance, options, session);
       }
       if (session.out_of_time()) break;
-      if (model.run && model.has_batched) {
-        check_scalar_vs_batched(model, instance, options, session);
-      }
       if (model.invariant_run) {
         check_invariant(model, instance, options, session);
       }

@@ -3,14 +3,11 @@
 // class, collecting failures that each carry ONE reproducible seed line.
 //
 // Property classes (docs/CERTIFICATION.md has the catalogue):
-//   exact_vs_sampled    χ²/TV agreement of the scalar sampler's one-step
-//                       law with the brute-force exact pmf
+//   exact_vs_sampled    χ²/TV agreement of the sampler's one-step law
+//                       with the brute-force exact pmf
 //   coupling_marginal   each marginal of a coupled step follows the
 //                       single-chain exact law (coupling faithfulness)
 //   coupling_absorbing  equal inputs stay equal through a coupled step
-//   scalar_vs_batched   kernel-mode byte identity: same final state AND
-//                       same next engine word under RECOVER_KERNEL=
-//                       scalar vs batched
 //   invariant           the model's structural invariant (majorization
 //                       sandwich, normalization, capacity bound, ...)
 //
@@ -34,9 +31,6 @@ struct CertifyOptions {
   int instances = 8;
   /// Samples per law-agreement check.
   std::int64_t law_trials = 20000;
-  /// Steps of each scalar-vs-batched identity run (must clear
-  /// kernel::kMinBatchSteps by a wide margin to exercise the batch path).
-  std::int64_t identity_steps = 512;
   /// Trajectory length for invariant and absorbing checks.
   std::int64_t invariant_steps = 192;
   /// Per-check significance level.  Tiny on purpose: thousands of checks
@@ -71,8 +65,7 @@ struct CertifyReport {
 };
 
 /// Runs the conformance suite over every (filtered) model in `registry`.
-/// `progress`, when non-null, receives one line per model.  Kernel-mode
-/// state is restored on return even though identity checks toggle it.
+/// `progress`, when non-null, receives one line per model.
 CertifyReport certify_models(const ModelRegistry& registry,
                              const CertifyOptions& options,
                              std::ostream* progress = nullptr);

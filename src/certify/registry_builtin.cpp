@@ -22,7 +22,6 @@
 #include "src/balls/scenario_a.hpp"
 #include "src/balls/scenario_b.hpp"
 #include "src/certify/model.hpp"
-#include "src/kernel/kernel.hpp"
 #include "src/open/bounded_chain.hpp"
 #include "src/open/open_chain.hpp"
 #include "src/orient/chain.hpp"
@@ -264,26 +263,6 @@ StepLaw orient_exact_law(const std::string& start) {
 }
 
 template <typename Chain>
-RunResult run_balls_chain(const Instance& in, std::uint64_t seed,
-                          std::int64_t steps) {
-  Chain chain(LoadVector::all_in_one(in.n, in.m), AbkuRule(in.d));
-  rng::Xoshiro256PlusPlus eng(seed);
-  kernel::advance(chain, eng, steps);
-  return RunResult{key_lv(chain.state()), eng()};
-}
-
-template <typename Coupling>
-RunResult run_balls_coupling(const Instance& in, std::uint64_t seed,
-                             std::int64_t steps) {
-  Coupling coupling(LoadVector::all_in_one(in.n, in.m),
-                    LoadVector::balanced(in.n, in.m), AbkuRule(in.d));
-  rng::Xoshiro256PlusPlus eng(seed);
-  kernel::advance(coupling, eng, steps);
-  return RunResult{key_lv(coupling.first()) + "|" + key_lv(coupling.second()),
-                   eng()};
-}
-
-template <typename Chain>
 bool load_vector_invariant(const Instance& in, std::uint64_t seed,
                            std::int64_t steps, std::string* diag,
                            Chain&& chain, bool fixed_ball_count,
@@ -313,7 +292,6 @@ void register_scenario_models(ModelRegistry& registry) {
     ChainModel m;
     m.name = "scenario_a";
     m.family = "balls";
-    m.has_batched = true;
     m.starts = balls_starts;
     m.exact_step = [](const Instance& in, const std::string& s) {
       return balls_exact_law(in, s, RemovalKind::kBallWeighted);
@@ -324,7 +302,6 @@ void register_scenario_models(ModelRegistry& registry) {
       chain.step(eng);
       return key_lv(chain.state());
     };
-    m.run = run_balls_chain<balls::ScenarioAChain<AbkuRule>>;
     m.invariant_name = "normalized_state";
     m.invariant_run = [](const Instance& in, std::uint64_t seed,
                          std::int64_t steps, std::string* diag) {
@@ -340,7 +317,6 @@ void register_scenario_models(ModelRegistry& registry) {
     ChainModel m;
     m.name = "scenario_b";
     m.family = "balls";
-    m.has_batched = true;
     m.starts = balls_starts;
     m.exact_step = [](const Instance& in, const std::string& s) {
       return balls_exact_law(in, s, RemovalKind::kNonEmptyUniform);
@@ -351,7 +327,6 @@ void register_scenario_models(ModelRegistry& registry) {
       chain.step(eng);
       return key_lv(chain.state());
     };
-    m.run = run_balls_chain<balls::ScenarioBChain<AbkuRule>>;
     m.invariant_name = "normalized_state";
     m.invariant_run = [](const Instance& in, std::uint64_t seed,
                          std::int64_t steps, std::string* diag) {
@@ -377,13 +352,6 @@ void register_scenario_models(ModelRegistry& registry) {
                                             AdapRule(adap_schedule(in)));
       chain.step(eng);
       return key_lv(chain.state());
-    };
-    m.run = [](const Instance& in, std::uint64_t seed, std::int64_t steps) {
-      balls::ScenarioAChain<AdapRule> chain(LoadVector::all_in_one(in.n, in.m),
-                                            AdapRule(adap_schedule(in)));
-      rng::Xoshiro256PlusPlus eng(seed);
-      kernel::advance(chain, eng, steps);
-      return RunResult{key_lv(chain.state()), eng()};
     };
     registry.add(std::move(m));
   }
@@ -428,7 +396,6 @@ void register_scenario_models(ModelRegistry& registry) {
     ChainModel m;
     m.name = "rbb";
     m.family = "balls";
-    m.has_batched = true;
     m.starts = balls_starts;
     m.exact_step = rbb_exact_law;
     m.sample_step = [](const Instance& in, const std::string& s,
@@ -437,7 +404,6 @@ void register_scenario_models(ModelRegistry& registry) {
       chain.step(eng);
       return key_lv(chain.state());
     };
-    m.run = run_balls_chain<balls::RBBChain<AbkuRule>>;
     m.invariant_name = "normalized_state";
     m.invariant_run = [](const Instance& in, std::uint64_t seed,
                          std::int64_t steps, std::string* diag) {
@@ -456,7 +422,6 @@ void register_coupling_models(ModelRegistry& registry) {
     ChainModel m;
     m.name = "grand_coupling_a";
     m.family = "coupling";
-    m.has_batched = true;
     m.starts = balls_starts;
     m.exact_step = [](const Instance& in, const std::string& s) {
       return balls_exact_law(in, s, RemovalKind::kBallWeighted);
@@ -467,7 +432,6 @@ void register_coupling_models(ModelRegistry& registry) {
       c.step(eng);
       return std::make_pair(key_lv(c.first()), key_lv(c.second()));
     };
-    m.run = run_balls_coupling<balls::GrandCouplingA<AbkuRule>>;
     m.invariant_name = "majorization_sandwich";
     m.invariant_run = [](const Instance& in, std::uint64_t seed,
                          std::int64_t steps, std::string* diag) {
@@ -481,7 +445,6 @@ void register_coupling_models(ModelRegistry& registry) {
     ChainModel m;
     m.name = "grand_coupling_b";
     m.family = "coupling";
-    m.has_batched = true;
     m.starts = balls_starts;
     m.exact_step = [](const Instance& in, const std::string& s) {
       return balls_exact_law(in, s, RemovalKind::kNonEmptyUniform);
@@ -492,7 +455,6 @@ void register_coupling_models(ModelRegistry& registry) {
       c.step(eng);
       return std::make_pair(key_lv(c.first()), key_lv(c.second()));
     };
-    m.run = run_balls_coupling<balls::GrandCouplingB<AbkuRule>>;
     m.invariant_name = "majorization_sandwich";
     m.invariant_run = [](const Instance& in, std::uint64_t seed,
                          std::int64_t steps, std::string* diag) {
@@ -506,7 +468,6 @@ void register_coupling_models(ModelRegistry& registry) {
     ChainModel m;
     m.name = "grand_coupling_rbb";
     m.family = "coupling";
-    m.has_batched = true;
     m.starts = balls_starts;
     m.exact_step = rbb_exact_law;
     m.coupled_step = [](const Instance& in, const std::string& sx,
@@ -516,7 +477,6 @@ void register_coupling_models(ModelRegistry& registry) {
       c.step(eng);
       return std::make_pair(key_lv(c.first()), key_lv(c.second()));
     };
-    m.run = run_balls_coupling<balls::GrandCouplingRBB<AbkuRule>>;
     // No majorization-sandwich invariant: RBB is famously non-monotone,
     // and its per-round word consumption depends on the copies' nonempty
     // counts, so two couplings on one engine stream need not stay in
@@ -546,13 +506,6 @@ void register_orient_models(ModelRegistry& registry) {
       orient::DiffState state = orient::DiffState::from_diffs(values_of(s));
       state.step(eng);
       return key_of(state.diffs());
-    };
-    m.run = [](const Instance& in, std::uint64_t seed, std::int64_t steps) {
-      orient::GreedyOrientationChain chain(
-          orient::DiffState::spread(in.n, 2));
-      rng::Xoshiro256PlusPlus eng(seed);
-      kernel::advance(chain, eng, steps);
-      return RunResult{key_of(chain.state().diffs()), eng()};
     };
     m.invariant_name = "zero_sum_sorted";
     m.invariant_run = [](const Instance& in, std::uint64_t seed,

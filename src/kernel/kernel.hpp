@@ -1,68 +1,29 @@
-// Kernel dispatch: routes multi-step bursts through the batched
-// choice-block kernels (choice_block.hpp) or the scalar one-step-at-a-
-// time path, under a process-wide runtime switch.
-//
-//   RECOVER_KERNEL=batched   (default) block-drawn randomness, SoA
-//                            precomputed selections, tight apply loop
-//   RECOVER_KERNEL=scalar    the plain `for (...) obj.step(eng)` loop
-//
-// Both paths consume the engine word-for-word identically, so every
-// experiment, sweep cell and serve reply is byte-identical across modes
-// (enforced by tests/kernel_test.cpp and the ci.sh identity gate).  The
-// switch exists for benchmarking the kernels against their baseline and
-// as an escape hatch, not because results differ.
+// kernel::advance: the one entry point that runs a chain or grand
+// coupling for a burst of steps.  Estimators, sweep cells and
+// experiments all advance through it, so `kernel.steps.scalar` counts
+// every step they take.
 #pragma once
 
 #include <cstdint>
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
 
 namespace recover::kernel {
 
-enum class Mode { kScalar, kBatched };
-
-/// Active kernel mode.  The first call reads RECOVER_KERNEL ("scalar" |
-/// "batched"; unset or empty means batched) and caches it; any other
-/// value aborts with a message — a typo silently falling back would make
-/// a perf comparison lie.
-Mode mode() noexcept;
-
-/// Overrides the cached mode (tests/benchmarks); returns the previous one.
-Mode set_mode(Mode m) noexcept;
-
-[[nodiscard]] const char* mode_name(Mode m) noexcept;
-/// Name of the active mode ("scalar" | "batched"), for run records.
-[[nodiscard]] const char* mode_name() noexcept;
-
-/// Bursts below this many steps stay scalar even in batched mode: a
-/// coupling polled every step or two near coalescence would pay block
-/// setup for nothing.
-inline constexpr std::int64_t kMinBatchSteps = 8;
-
 namespace detail {
-obs::Counter& steps_batched() noexcept;
-obs::Counter& steps_scalar() noexcept;
-obs::Histogram& step_block_ns() noexcept;
+// Registered at load time: no function-local static guard on the
+// advance() path.
+inline obs::Counter& g_steps_scalar =
+    obs::Registry::global().counter("kernel.steps.scalar");
 }  // namespace detail
 
-/// Advances `obj` (a chain or grand coupling) by `steps` steps.
-/// Dispatches to obj.step_block(eng, steps) when the type provides one
-/// and the batched mode is active; otherwise runs the scalar loop.
-/// Results are byte-identical either way.
+/// Advances `obj` (a chain or grand coupling) by `steps` calls to
+/// obj.step(eng).
 template <typename Obj, typename Engine>
 void advance(Obj& obj, Engine& eng, std::int64_t steps) {
   if (steps <= 0) return;
-  if constexpr (requires { obj.step_block(eng, steps); }) {
-    if (steps >= kMinBatchSteps && mode() == Mode::kBatched) {
-      obs::ScopedSpan span(detail::step_block_ns());
-      obj.step_block(eng, steps);
-      detail::steps_batched().add(static_cast<std::uint64_t>(steps));
-      return;
-    }
-  }
   for (std::int64_t k = 0; k < steps; ++k) obj.step(eng);
-  detail::steps_scalar().add(static_cast<std::uint64_t>(steps));
+  detail::g_steps_scalar.add(static_cast<std::uint64_t>(steps));
 }
 
 }  // namespace recover::kernel

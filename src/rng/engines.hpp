@@ -71,55 +71,36 @@ class Xoshiro256PlusPlus {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
-  result_type operator()();
+  result_type operator()() {
+    // Header-inline so hot loops keep the state in registers.  Draw
+    // accounting stays on the engine's own cache line: a member increment
+    // plus a never-taken branch; the flush to the global counter every
+    // kDrawFlush draws (and on destruction) is out of line.
+    if ((++pending_draws_ & (detail::kDrawFlush - 1)) == 0) flush_draws();
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Writes `count` consecutive outputs of operator() into `out`,
   /// leaving the engine in exactly the state `count` calls would.  The
   /// state lives in registers for the whole loop and draw accounting is
-  /// amortized over the block, which is what makes the batched kernels
-  /// (src/kernel/) faster than per-call draws.
+  /// amortized over the block.
   void fill(std::uint64_t* out, std::size_t count);
-
-  /// Streams `groups` groups of G consecutive operator() outputs through
-  /// `sink(group_index, words)` without a second pass over memory.
-  /// Header-inline on purpose: the sink's work (store, map, reduce — see
-  /// src/kernel/choice_block.hpp) fuses into the generation loop, where
-  /// it executes under the recurrence's serial dependency chain instead
-  /// of costing its own memory pass.  Leaves the engine in exactly the
-  /// state `groups * G` operator() calls would.
-  template <std::size_t G, typename Sink>
-  void generate_groups(std::size_t groups, Sink&& sink) {
-    static_assert(G >= 1);
-    std::uint64_t s0 = s_[0];
-    std::uint64_t s1 = s_[1];
-    std::uint64_t s2 = s_[2];
-    std::uint64_t s3 = s_[3];
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::array<std::uint64_t, G> w;
-      for (std::size_t k = 0; k < G; ++k) {  // unrolled: G is constexpr
-        w[k] = std::rotl(s0 + s3, 23) + s0;
-        const std::uint64_t t = s1 << 17;
-        s2 ^= s0;
-        s3 ^= s1;
-        s1 ^= s2;
-        s0 ^= s3;
-        s2 ^= t;
-        s3 = std::rotl(s3, 45);
-      }
-      sink(g, w);
-    }
-    s_ = {s0, s1, s2, s3};
-    account_draws(groups * G);
-  }
 
   /// Equivalent to 2^128 calls to operator(); yields non-overlapping
   /// subsequences for parallel streams.
   void jump();
 
  private:
-  /// Folds a block of `count` draws into the draw accounting, preserving
-  /// the exact flush totals of per-call accounting.
-  void account_draws(std::uint64_t count);
+  /// Adds one kDrawFlush block of draws to the global counter.
+  static void flush_draws();
 
   std::array<std::uint64_t, 4> s_;
   std::uint64_t pending_draws_ = 0;
@@ -158,13 +139,6 @@ class Philox4x32 {
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
   result_type operator()();
-
-  /// Writes `count` consecutive outputs of operator() into `out`,
-  /// leaving the engine in exactly the state `count` calls would
-  /// (including partially consumed blocks before and after).  Whole
-  /// blocks are generated straight from the counter — the counter-based
-  /// analogue of Xoshiro256PlusPlus::fill.
-  void fill(std::uint64_t* out, std::size_t count);
 
   /// Pure function of (key, counter): the 128-bit output block for the
   /// given 64-bit counter (the high half of the 128-bit counter is the

@@ -16,7 +16,6 @@
 #include "src/certify/fuzz.hpp"
 #include "src/certify/model.hpp"
 #include "src/certify/properties.hpp"
-#include "src/kernel/kernel.hpp"
 #include "src/rng/distributions.hpp"
 #include "src/rng/engines.hpp"
 #include "src/serve/handlers.hpp"
@@ -52,13 +51,6 @@ TEST(CertifyRegistry, EveryChainFamilyIsRegistered) {
     EXPECT_NE(registry.find(required), nullptr)
         << "family missing from the registry: " << required;
   }
-  // The kernel-mode identity contract must be represented: at least the
-  // scenario chains and the grand couplings advertise a batched path.
-  int batched = 0;
-  for (const ChainModel& model : registry.models()) {
-    if (model.has_batched) ++batched;
-  }
-  EXPECT_GE(batched, 4);
 }
 
 TEST(CertifyRegistry, BuiltinModelsPassAQuickSuite) {
@@ -67,7 +59,6 @@ TEST(CertifyRegistry, BuiltinModelsPassAQuickSuite) {
   SCOPED_TRACE(seed_banner(options.seed));
   options.instances = 2;
   options.law_trials = 6000;
-  options.identity_steps = 300;  // crosses the kBatchSteps boundary
   options.invariant_steps = 64;
   const CertifyReport report = certify_models(builtin_registry(), options);
   EXPECT_GT(report.checks, 50);
@@ -86,7 +77,6 @@ CertifyOptions mutant_options() {
   options.seed = 7;
   options.instances = 3;
   options.law_trials = 8000;
-  options.identity_steps = 64;
   options.invariant_steps = 32;
   return options;
 }
@@ -136,44 +126,6 @@ TEST(CertifyMutants, BrokenExactLawFailsExactVsSampled) {
   EXPECT_NE(repro.find("--only=scenario_a_broken_law"), std::string::npos);
 }
 
-TEST(CertifyMutants, BrokenBatchedStateFailsKernelIdentity) {
-  ChainModel mutant = model_or_die("scenario_a");
-  mutant.name = "scenario_a_broken_batched";
-  const auto real_run = mutant.run;
-  mutant.run = [real_run](const Instance& in, std::uint64_t seed,
-                          std::int64_t steps) {
-    RunResult result = real_run(in, seed, steps);
-    if (kernel::mode() == kernel::Mode::kBatched) result.state_key += "#";
-    return result;
-  };
-  ModelRegistry registry;
-  registry.add(mutant);
-  const CertifyReport report = certify_models(registry, mutant_options());
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(failed_properties(report),
-            (std::set<std::string>{"scalar_vs_batched"}));
-}
-
-TEST(CertifyMutants, DivergentWordConsumptionFailsKernelIdentity) {
-  // Same states, different randomness consumed: the engine-word half of
-  // the byte-identity contract must catch it on its own.
-  ChainModel mutant = model_or_die("scenario_b");
-  mutant.name = "scenario_b_broken_words";
-  const auto real_run = mutant.run;
-  mutant.run = [real_run](const Instance& in, std::uint64_t seed,
-                          std::int64_t steps) {
-    RunResult result = real_run(in, seed, steps);
-    if (kernel::mode() == kernel::Mode::kBatched) result.engine_word ^= 1;
-    return result;
-  };
-  ModelRegistry registry;
-  registry.add(mutant);
-  const CertifyReport report = certify_models(registry, mutant_options());
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(failed_properties(report),
-            (std::set<std::string>{"scalar_vs_batched"}));
-}
-
 TEST(CertifyMutants, BiasedCouplingFailsMarginalCheck) {
   ChainModel mutant = model_or_die("grand_coupling_a");
   mutant.name = "grand_coupling_a_biased";
@@ -195,8 +147,7 @@ TEST(CertifyMutants, BiasedCouplingFailsMarginalCheck) {
     }
     return std::make_pair(kx, ky);
   };
-  mutant.run = {};            // isolate: no kernel identity checks
-  mutant.invariant_run = {};  // no invariant checks
+  mutant.invariant_run = {};  // isolate: no invariant checks
   ModelRegistry registry;
   registry.add(mutant);
   const CertifyReport report = certify_models(registry, mutant_options());
@@ -223,7 +174,6 @@ TEST(CertifyMutants, SplittingCouplingFailsAbsorbingCheck) {
     const auto second = real_coupled(in, x, y, eng);
     return std::make_pair(first.first, second.second);
   };
-  mutant.run = {};
   mutant.invariant_run = {};
   ModelRegistry registry;
   registry.add(mutant);

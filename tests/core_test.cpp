@@ -1,11 +1,16 @@
 // Tests for the core path-coupling framework pieces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/balls/coupling_a.hpp"
+#include "src/balls/grand_coupling.hpp"
 #include "src/balls/random_states.hpp"
 #include "src/balls/scenario_a.hpp"
+#include "src/core/coalescence.hpp"
 #include "src/core/contraction.hpp"
 #include "src/core/path_coupling.hpp"
 #include "src/core/recovery.hpp"
@@ -110,6 +115,32 @@ TEST(EstimateContraction, MatchesCorollary42OnScenarioA) {
   // β̂ ≤ 1 − 1/m up to MC slack; and the distance must change sometimes.
   EXPECT_LE(estimate.beta_hat, 1.0 - 1.0 / static_cast<double>(m) + 0.02);
   EXPECT_GT(estimate.alpha_hat, 0.0);
+}
+
+// Coalescence trials draw replica r from substream(seed, r), so the
+// thread count cannot change a single meeting time.
+std::vector<std::int64_t> coalescence_times(bool parallel) {
+  CoalescenceOptions options;
+  options.replicas = 8;
+  options.seed = 404;
+  options.max_steps = 20'000;
+  options.check_interval = 64;
+  options.parallel = parallel;
+  return run_coalescence_trials(
+      [](std::uint64_t) {
+        return balls::GrandCouplingA<balls::AbkuRule>(
+            balls::LoadVector::all_in_one(16, 32),
+            balls::LoadVector::balanced(16, 32), balls::AbkuRule(2));
+      },
+      options);
+}
+
+TEST(CoalescenceByteIdentity, TrialsIdenticalAcrossThreadCounts) {
+  const auto serial = coalescence_times(false);
+  EXPECT_EQ(serial, coalescence_times(true));
+  // The cell must actually measure something (not all censored).
+  EXPECT_TRUE(std::any_of(serial.begin(), serial.end(),
+                          [](std::int64_t t) { return t >= 0; }));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for the Repeated Balls-into-Bins family (src/balls/rbb.hpp):
 // the deterministic ejection primitive, the exact round law against
-// sampled frequencies, scalar/batched byte identity for the chain and
-// the grand coupling, coupling absorption and coalescence, the
+// sampled frequencies, coupling absorption and coalescence, the
 // self-stabilization headline from the worst-case start, and the
 // certify mutant checks proving the "rbb" registration can fail.
 #include <gtest/gtest.h>
@@ -19,21 +18,11 @@
 #include "src/certify/check.hpp"
 #include "src/certify/model.hpp"
 #include "src/certify/properties.hpp"
-#include "src/kernel/kernel.hpp"
 #include "src/rng/distributions.hpp"
 #include "src/rng/engines.hpp"
 
 namespace recover::balls {
 namespace {
-
-class ModeGuard {
- public:
-  explicit ModeGuard(kernel::Mode m) : prev_(kernel::set_mode(m)) {}
-  ~ModeGuard() { kernel::set_mode(prev_); }
-
- private:
-  kernel::Mode prev_;
-};
 
 // ---------------------------------------------------------------------------
 // The ejection primitive.
@@ -121,61 +110,6 @@ TEST(RBBChain, ExactRoundLawMatchesSampledFrequencies) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte identity: scalar and batched paths must produce the same state
-// AND consume the same engine words.
-
-TEST(RBBChain, ScalarAndBatchedRunsAreByteIdentical) {
-  const std::uint64_t seed = certify::test_master_seed(0xEBB3);
-  SCOPED_TRACE(certify::seed_banner(seed));
-  struct Case {
-    std::size_t n;
-    std::int64_t m;
-    int d;
-  };
-  for (const Case c : {Case{5, 10, 1}, Case{4, 8, 2}, Case{6, 18, 3}}) {
-    RBBChain<AbkuRule> scalar(LoadVector::all_in_one(c.n, c.m), AbkuRule(c.d));
-    RBBChain<AbkuRule> batched = scalar;
-    rng::Xoshiro256PlusPlus es(seed + c.n);
-    rng::Xoshiro256PlusPlus eb(seed + c.n);
-    {
-      ModeGuard guard(kernel::Mode::kScalar);
-      kernel::advance(scalar, es, 300);
-    }
-    {
-      ModeGuard guard(kernel::Mode::kBatched);
-      kernel::advance(batched, eb, 300);
-    }
-    EXPECT_EQ(scalar.state().loads(), batched.state().loads())
-        << "n=" << c.n << " m=" << c.m << " d=" << c.d;
-    EXPECT_EQ(es(), eb()) << "word divergence at n=" << c.n << " d=" << c.d;
-  }
-}
-
-TEST(GrandCouplingRBB, ScalarAndBatchedCouplingsAreByteIdentical) {
-  const std::uint64_t seed = certify::test_master_seed(0xEBB4);
-  SCOPED_TRACE(certify::seed_banner(seed));
-  for (const int d : {1, 2, 3}) {
-    GrandCouplingRBB<AbkuRule> scalar(LoadVector::all_in_one(6, 12),
-                                      LoadVector::balanced(6, 12),
-                                      AbkuRule(d));
-    GrandCouplingRBB<AbkuRule> batched = scalar;
-    rng::Xoshiro256PlusPlus es(seed + static_cast<std::uint64_t>(d));
-    rng::Xoshiro256PlusPlus eb(seed + static_cast<std::uint64_t>(d));
-    {
-      ModeGuard guard(kernel::Mode::kScalar);
-      kernel::advance(scalar, es, 300);
-    }
-    {
-      ModeGuard guard(kernel::Mode::kBatched);
-      kernel::advance(batched, eb, 300);
-    }
-    EXPECT_EQ(scalar.first().loads(), batched.first().loads()) << "d=" << d;
-    EXPECT_EQ(scalar.second().loads(), batched.second().loads()) << "d=" << d;
-    EXPECT_EQ(es(), eb()) << "word divergence at d=" << d;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Coupling: absorption and coalescence.
 
 TEST(GrandCouplingRBB, EqualCopiesStayEqualForever) {
@@ -257,7 +191,6 @@ certify::CertifyOptions mutant_options() {
   options.seed = 7;
   options.instances = 3;
   options.law_trials = 8000;
-  options.identity_steps = 64;
   options.invariant_steps = 32;
   return options;
 }
@@ -289,8 +222,7 @@ TEST(RBBCertifyMutants, LazySampleStepFailsExactVsSampled) {
     if (rng::coin(eng)) return start;
     return real_sample(in, start, eng);
   };
-  mutant.run = {};            // isolate: no kernel identity checks
-  mutant.invariant_run = {};  // no invariant checks
+  mutant.invariant_run = {};  // isolate: no invariant checks
   certify::ModelRegistry registry;
   registry.add(mutant);
   const certify::CertifyReport report =
@@ -298,25 +230,6 @@ TEST(RBBCertifyMutants, LazySampleStepFailsExactVsSampled) {
   ASSERT_FALSE(report.ok()) << "the harness accepted a lazy RBB sampler";
   EXPECT_EQ(failed_properties(report),
             (std::set<std::string>{"exact_vs_sampled"}));
-}
-
-TEST(RBBCertifyMutants, DivergentBatchedWordsFailKernelIdentity) {
-  certify::ChainModel mutant = model_or_die("rbb");
-  mutant.name = "rbb_broken_words";
-  const auto real_run = mutant.run;
-  mutant.run = [real_run](const certify::Instance& in, std::uint64_t seed,
-                          std::int64_t steps) {
-    certify::RunResult result = real_run(in, seed, steps);
-    if (kernel::mode() == kernel::Mode::kBatched) result.engine_word ^= 1;
-    return result;
-  };
-  certify::ModelRegistry registry;
-  registry.add(mutant);
-  const certify::CertifyReport report =
-      certify::certify_models(registry, mutant_options());
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(failed_properties(report),
-            (std::set<std::string>{"scalar_vs_batched"}));
 }
 
 TEST(RBBCertifyMutants, BiasedCouplingMarginalFailsFaithfulness) {
@@ -340,7 +253,6 @@ TEST(RBBCertifyMutants, BiasedCouplingMarginalFailsFaithfulness) {
     }
     return std::make_pair(kx, ky);
   };
-  mutant.run = {};  // isolate: no kernel identity checks
   certify::ModelRegistry registry;
   registry.add(mutant);
   const certify::CertifyReport report =

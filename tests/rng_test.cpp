@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "src/certify/check.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/rng/alias.hpp"
 #include "src/rng/distributions.hpp"
 #include "src/rng/engines.hpp"
@@ -43,6 +46,64 @@ TEST(Xoshiro, JumpDecorrelatesStreams) {
     if (a() == b()) ++equal;
   }
   EXPECT_EQ(equal, 0);
+}
+
+// fill() must equal serial operator() draws and leave the engine where
+// those draws would.
+TEST(EngineFill, XoshiroMatchesSerialDraws) {
+  const std::uint64_t seed = certify::test_master_seed(12345);
+  SCOPED_TRACE(certify::seed_banner(seed));
+  for (const int predraws : {0, 1, 3}) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{8}, std::size_t{9},
+                                    std::size_t{64}, std::size_t{257},
+                                    std::size_t{1000}}) {
+      Xoshiro256PlusPlus filled(seed);
+      Xoshiro256PlusPlus serial(seed);
+      for (int k = 0; k < predraws; ++k) {
+        ASSERT_EQ(filled(), serial());
+      }
+      std::vector<std::uint64_t> out(count);
+      filled.fill(out.data(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], serial()) << "word " << i << " of " << count
+                                    << " after " << predraws << " predraws";
+      }
+      for (int k = 0; k < 5; ++k) {
+        ASSERT_EQ(filled(), serial());
+      }
+    }
+  }
+}
+
+// rng.xoshiro.draws counts every word exactly once: per-call draws
+// flush every kDrawFlush, fill() blocks fold into the same pending
+// count, a copy starts its own count, and destructors flush the rest.
+TEST(XoshiroDrawCounter, CountsEveryWordOnce) {
+  const bool was = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& draws = obs::Registry::global().counter("rng.xoshiro.draws");
+  const std::uint64_t before = draws.value();
+  std::uint64_t drawn = 0;
+  {
+    Xoshiro256PlusPlus eng(9);
+    std::vector<std::uint64_t> block(1000);
+    const std::uint64_t calls = 3 * detail::kDrawFlush + 5;
+    for (std::uint64_t k = 0; k < calls; ++k) {
+      (void)eng();
+      if (k % 40000 == 0) {
+        eng.fill(block.data(), block.size());
+        drawn += block.size();
+      }
+    }
+    drawn += calls;
+    Xoshiro256PlusPlus copy = eng;
+    for (int k = 0; k < 7; ++k) (void)copy();
+    copy.fill(block.data(), 300);
+    drawn += 7 + 300;
+  }
+  EXPECT_EQ(draws.value() - before, drawn);
+  obs::set_metrics_enabled(was);
 }
 
 TEST(Philox, MatchesRandom123KnownAnswer) {

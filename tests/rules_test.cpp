@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "src/balls/coupling_common.hpp"
 #include "src/balls/load_vector.hpp"
 #include "src/balls/random_states.hpp"
 #include "src/balls/rules.hpp"
@@ -198,6 +200,33 @@ TEST(AdapRule, PlacementPmfFavorsEmptyBinsUnderSteepSchedule) {
   const auto pmf = rule.placement_pmf(v);
   const double empty_mass = pmf[3] + pmf[4] + pmf[5];
   EXPECT_GT(empty_mass, 0.8);
+}
+
+TEST(ProbeMemo, CoupledPlacementPastTheInlineSlots) {
+  // ADAP with x ≡ 12 draws exactly 12 probes per placement, so the memo
+  // spills past its inline slots.  The spilled probes must replay into
+  // the second copy like the inline ones, and each must be drawn once:
+  // both copies land where ABKU[12] puts the same 12 fresh draws, and
+  // the engines agree afterwards.
+  static_assert(ProbeMemo<rng::Xoshiro256PlusPlus>::kInline < 12);
+  rng::Xoshiro256PlusPlus eng(2024);
+  const AdapRule adap{ThresholdSchedule::constant(12)};
+  const AbkuRule abku(12);
+  for (int rep = 0; rep < 50; ++rep) {
+    LoadVector v = random_load_vector(16, 40, eng, 2);
+    LoadVector u = random_load_vector(16, 40, eng, 1);
+    rng::Xoshiro256PlusPlus fresh_eng = eng;
+    ProbeFresh<rng::Xoshiro256PlusPlus> fresh(fresh_eng, v.bins());
+    const std::size_t index = abku.place_index(v, fresh);
+    LoadVector v_want = v;
+    LoadVector u_want = u;
+    const std::pair<std::size_t, std::size_t> want = {v_want.add_at(index),
+                                                      u_want.add_at(index)};
+    EXPECT_EQ(coupled_place(adap, v, u, eng), want);
+    EXPECT_EQ(v, v_want);
+    EXPECT_EQ(u, u_want);
+    EXPECT_EQ(eng(), fresh_eng());
+  }
 }
 
 // Right-orientedness (Definition 3.4 via Lemma 3.3): with the SAME probe

@@ -1,6 +1,6 @@
 // Tests for the sweep subsystem: grid expansion, checkpoint durability
-// and torn-line recovery, shard partitioning, and schedule independence
-// of the full engine.
+// and torn-line recovery, shard partitioning, schedule independence of
+// the full engine, and the golden bytes of every sweep cell family.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,8 @@
 
 #include "src/certify/check.hpp"
 #include "src/parallel/thread_pool.hpp"
+#include "src/serve/handlers.hpp"
+#include "src/serve/protocol.hpp"
 #include "src/sweep/checkpoint.hpp"
 #include "src/sweep/grid.hpp"
 #include "src/sweep/registry.hpp"
@@ -407,6 +409,57 @@ TEST(SweepEngine, Exp01ScheduleIndependenceIsByteExact) {
   options.pool = &p8;
   const auto threaded = run_sweep(grid, options);
   EXPECT_EQ(serial.table.to_string(), threaded.table.to_string());
+}
+
+// --- golden bytes ---------------------------------------------------------
+//
+// Known answers for the output bytes themselves: any change that draws
+// one engine word more, fewer or in another order moves a digest.  The
+// grids keep coalescence polls and stationary spacings at 8 or more
+// steps per kernel::advance burst.
+
+/// The bytes a golden case pins: run_sweep's table for a sweep cell
+/// family (seed 1), or the reply line serve::dispatch produces for a
+/// request line (source "run_cell").
+std::string golden_bytes(const std::string& source, const std::string& input) {
+  if (source == "run_cell") {
+    serve::Request req;
+    EXPECT_TRUE(serve::parse_request(input, req).ok) << input;
+    serve::HandlerContext ctx;
+    ctx.cells_parallel = false;
+    const serve::HandlerResult res = serve::dispatch(req, ctx);
+    EXPECT_TRUE(res.ok) << res.message;
+    return serve::make_result(req.id, res.result_json);
+  }
+  SweepOptions options;
+  options.exp = source;
+  return run_sweep(GridSpec::parse(input), options).table.to_string();
+}
+
+TEST(GoldenBytes, OutputsMatchKnownDigests) {
+  struct Case {
+    std::string source;  // sweep experiment, or "run_cell"
+    std::string input;   // grid, or request line
+    std::string digest;  // hash_hex(fnv1a64(bytes))
+  };
+  const std::vector<Case> cases = {
+      {"exp01", "m=128..256:x2;d=1..2;density=1;replicas=4",
+       "14dcde32d00e5cf5"},
+      {"exp03", "n=16;density=2;d=1..2;replicas=4", "f94e72b7a74fd204"},
+      {"exp06", "n=8..16:x2;replicas=4", "4db012817c4385f6"},
+      {"exp10", "n=64;d=1..2;samples=50", "093868d1fa084afe"},
+      {"exp22", "n=64;d=1..2;density=2;replicas=4", "1f340f96d1124f6a"},
+      {"exp23", "n=64;d=1..2;density=2;replicas=4", "f518820832e94778"},
+      {"run_cell",
+       "{\"schema\":\"recover.req/1\",\"id\":1,\"method\":\"run_cell\","
+       "\"params\":{\"exp\":\"exp01\",\"seed\":9,"
+       "\"params\":{\"m\":256,\"d\":2,\"density\":1,\"replicas\":4}}}",
+       "449edd809d72b573"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(hash_hex(fnv1a64(golden_bytes(c.source, c.input))), c.digest)
+        << c.source << " " << c.input;
+  }
 }
 
 }  // namespace
